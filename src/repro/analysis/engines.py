@@ -293,10 +293,6 @@ class RandomEngine(Engine):
     cost_hint = 1000
     attempts = 2000
     sample_max_nodes = 12
-    #: Sampling cares about witness shape, not minimal query size: the
-    #: cheap normalizer is enough, so this engine declares pipeline level
-    #: ``basic`` instead of inheriting the session default.
-    pipeline = "basic"
 
     def admits(self, problem: Problem) -> bool:
         return problem.kind is ProblemKind.SATISFIABILITY

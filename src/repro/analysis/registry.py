@@ -30,8 +30,10 @@ builtin engine modules lazily to avoid import cycles with
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import replace
+from typing import Iterator
 
 from .. import obs
 from .problems import ContainmentResult, Problem, ProblemKind, SatResult, Verdict
@@ -62,12 +64,6 @@ class Engine:
     conclusive: bool = False
     #: Rough relative cost; the registry tries cheaper engines first.
     cost_hint: int = 100
-    #: Which rewrite-pipeline level (:data:`repro.xpath.passes.PIPELINES`)
-    #: this engine wants its inputs canonicalized at; ``None`` inherits the
-    #: session default (set by the CLI's ``--passes`` flag).  An engine that
-    #: declares a level gets the *original* problem re-canonicalized at
-    #: that level before ``solve``.
-    pipeline: str | None = None
 
     def admits(self, problem: Problem) -> bool:
         """Cheap syntactic admissibility check."""
@@ -89,7 +85,6 @@ class Engine:
             "name": self.name,
             "conclusive": self.conclusive,
             "cost_hint": self.cost_hint,
-            "pipeline": self.pipeline,
         }
 
 
@@ -120,135 +115,154 @@ class EngineRegistry:
         return sorted(self._engines.values(),
                       key=lambda engine: (engine.cost_hint, engine.name))
 
-    def plan_and_run(self, problem: Problem) -> Result:
-        """Dispatch ``problem`` to an engine and return its result.
+    def ladder(self, problem: Problem, *, exclude=frozenset(),
+               only: str | None = None) -> Iterator[tuple[str, Engine, object]]:
+        """The engine ladder for an already canonical ``problem``: the one
+        attempt generator behind both :meth:`plan_and_run` and the resident
+        workers of :mod:`repro.parallel`.
 
-        With ``problem.engine`` set, that engine must admit and solve the
-        problem (declining raises :class:`EngineDeclined`; an engine
-        exception is re-raised) — except for equivalence, where the
-        preference is forwarded to the per-direction subproblems.
-        Otherwise admitted engines are tried cheapest-first until one
-        produces a result; an engine that *raises* mid-``solve`` is treated
-        like a runtime decline — the error is recorded on its
-        ``engine_decision`` entry and dispatch falls through to the next
-        admitted engine, re-raising only when no engine remains.  A
-        :class:`EngineDeclined` escaping ``solve`` (a nested dispatch whose
-        engine declined) is a *clean* decline, not an error: the entry is
-        marked ``declined`` and ``dispatch.declined.<name>`` counted, never
-        ``dispatch.error.<name>``.
+        Walks the admitted engines cheapest-first and yields one event per
+        step, as ``(event, engine, payload)``:
 
-        Every problem is canonicalized by the rewrite pipeline
-        (:mod:`repro.xpath.passes`) before admission checks and dispatch,
-        at the session level — so fragment tests, plan-cache keys and
-        verdict-cache keys all see canonical forms.  An engine that
-        declares its own ``pipeline`` level gets the original problem
-        re-canonicalized at that level instead (memoized, so this costs a
-        dictionary hit).
+        * ``("trying", engine, None)`` — ``solve`` is about to start;
+        * ``("declined", engine, reason)`` — ``solve`` returned ``None``
+          (``reason`` is ``None``) or raised :class:`EngineDeclined` (the
+          exception) — a *clean* decline, counted as
+          ``dispatch.declined.<name>``;
+        * ``("failed", engine, error)`` — ``admits`` or ``solve`` raised;
+          counted as ``dispatch.error.<name>``, and the walk falls through;
+        * ``("result", engine, result)`` — the verdict; the walk ends.
+
+        ``only`` (a race contender) or a forced ``problem.engine`` (except
+        for equivalence, which forwards the preference to its
+        per-direction subproblems) makes that one engine the whole ladder;
+        an unknown name raises ``ValueError`` before the first event.
+        Engines named in ``exclude`` (already tried by a worker that timed
+        out or died) are skipped, so a fresh worker resumes at the
+        next-cheapest engine.
+
+        The walk notes an ``engine_decision`` — every candidate with its
+        admission verdict, the chosen engine or ``None`` — on the active
+        recording and observes ``dispatch.solve_s`` for the verdict.  With
+        no recording active nobody can read the decision, so later
+        candidates' ``admits`` run only when the walk reaches them.
         """
-        original = problem
-        problem = problem.canonical()
-        candidates = self.candidates(problem)
-        decision: list[dict] = []
-        chosen: Engine | None = None
-        forced = problem.engine
-        if forced is not None and problem.kind is not ProblemKind.EQUIVALENCE:
-            engine = self.get(forced)
-            decision = [dict(engine.describe(), admits=engine.admits(problem),
-                             forced=True)]
-            if not decision[0]["admits"]:
-                obs.note("engine_decision", {"candidates": decision,
-                                             "chosen": None})
-                raise EngineDeclined(
-                    f"engine {forced!r} does not admit this "
-                    f"{problem.kind.value} problem"
-                )
-            chosen = engine
+        forced = only
+        if forced is None and problem.kind is not ProblemKind.EQUIVALENCE:
+            forced = problem.engine
+        if forced is not None:
+            engines = [] if forced in exclude else [self.get(forced)]
         else:
-            for engine in candidates:
-                admitted = engine.admits(problem)
-                decision.append(dict(engine.describe(), admits=admitted))
-                if admitted and chosen is None:
-                    chosen = engine
-        last_error: Exception | None = None
-        dispatch_start = time.perf_counter()
-        session = None  # the canonical problem's session, resolved lazily
+            engines = [engine for engine in self.candidates(problem)
+                       if engine.name not in exclude]
+        entries = [engine.describe() for engine in engines]
+        decision = {"candidates": entries, "chosen": None}
+        errors: dict[str, Exception] = {}
+
+        def admitted(engine: Engine, entry: dict) -> bool:
+            if "admits" not in entry:
+                try:
+                    entry["admits"] = engine.admits(problem)
+                except Exception as error:
+                    entry["admits"] = False
+                    entry["error"] = f"{type(error).__name__}: {error}"
+                    errors[engine.name] = error
+                if forced is not None:
+                    entry["forced"] = True
+            return entry["admits"]
+
+        def settle() -> None:
+            # Noted at every exit, after any nested dispatch has noted its
+            # own decision, so the outer decision is the one that stays.
+            obs.note("engine_decision", decision)
+
+        if obs.active() is not None:
+            for engine, entry in zip(engines, entries):
+                admitted(engine, entry)
+        started = time.perf_counter()
+        session = None  # the problem's session, resolved on first solve
         with obs.span("dispatch", problem=problem.kind.value):
             from .session import session_for
 
-            while chosen is not None:
-                solve_input = problem if chosen.pipeline is None \
-                    else original.canonical(chosen.pipeline)
-                if solve_input is problem:
+            for engine, entry in zip(engines, entries):
+                if not admitted(engine, entry):
+                    if engine.name in errors:
+                        obs.count(f"dispatch.error.{engine.name}")
+                        settle()
+                        yield "failed", engine, errors[engine.name]
+                    continue
+                yield "trying", engine, None
+                try:
                     if session is None:
                         session = session_for(problem)
-                    attempt_session = session
-                else:
-                    # A custom-pipeline canonical form may mention a
-                    # different label alphabet — its own schema.
-                    attempt_session = session_for(solve_input)
-                try:
-                    result = chosen.solve(solve_input, attempt_session)
+                    result = engine.solve(problem, session)
                 except EngineDeclined as declined:
-                    # A *clean* decline surfacing as an exception — e.g. a
-                    # nested dispatch (equivalence sub-containments) whose
-                    # forced engine declined.  This is not an engine bug:
-                    # record it exactly like a ``solve() -> None`` decline
-                    # so ``engine_decision`` keeps declines and errors
-                    # distinguishable, and never count ``dispatch.error.*``.
-                    for entry in decision:
-                        if entry["name"] == chosen.name:
-                            entry["declined"] = True
-                    obs.count(f"dispatch.declined.{chosen.name}")
-                    if forced is not None:
-                        obs.note("engine_decision", {"candidates": decision,
-                                                     "chosen": None})
-                        raise
-                    last_error = declined
-                    result = None
+                    # A clean decline surfacing as an exception (a nested
+                    # dispatch whose forced engine declined): not an
+                    # engine bug, so never ``dispatch.error.*``.
+                    entry["declined"] = True
+                    obs.count(f"dispatch.declined.{engine.name}")
+                    settle()
+                    yield "declined", engine, declined
+                    continue
                 except Exception as error:
-                    # An engine bug or an uncaught guard must not abort the
-                    # whole dispatch: record the failure on the decision
-                    # entry and fall through like a runtime decline.
-                    for entry in decision:
-                        if entry["name"] == chosen.name:
-                            entry["error"] = f"{type(error).__name__}: {error}"
-                    obs.count(f"dispatch.error.{chosen.name}")
-                    if forced is not None:
-                        obs.note("engine_decision", {"candidates": decision,
-                                                     "chosen": None})
-                        raise
-                    last_error = error
-                    result = None
-                else:
-                    if result is not None:
-                        obs.note("engine_decision",
-                                 {"candidates": decision, "chosen": chosen.name})
-                        obs.observe("dispatch.solve_s",
-                                    time.perf_counter() - dispatch_start)
-                        return result
-                    # Runtime decline: mark it and fall through to the next
-                    # admitted candidate (or fail if the engine was forced).
-                    for entry in decision:
-                        if entry["name"] == chosen.name:
-                            entry["declined"] = True
-                    obs.count(f"dispatch.declined.{chosen.name}")
-                    if forced is not None:
-                        obs.note("engine_decision", {"candidates": decision,
-                                                     "chosen": None})
+                    # An engine bug or an uncaught guard must not abort
+                    # the walk: record it and fall through.
+                    entry["error"] = f"{type(error).__name__}: {error}"
+                    obs.count(f"dispatch.error.{engine.name}")
+                    settle()
+                    yield "failed", engine, error
+                    continue
+                if result is None:
+                    entry["declined"] = True
+                    obs.count(f"dispatch.declined.{engine.name}")
+                    settle()
+                    yield "declined", engine, None
+                    continue
+                decision["chosen"] = engine.name
+                settle()
+                obs.observe("dispatch.solve_s",
+                            time.perf_counter() - started)
+                yield "result", engine, result
+                return
+        settle()
+
+    def plan_and_run(self, problem: Problem) -> Result:
+        """Dispatch ``problem`` to an engine and return its result.
+
+        The problem is canonicalized by the rewrite pipeline
+        (:mod:`repro.xpath.passes`) at the session level — so fragment
+        tests, plan-cache keys and verdict-cache keys all see canonical
+        forms — and walked down :meth:`ladder`.  With ``problem.engine``
+        set, that engine must admit and solve the problem: not admitting
+        or declining raises :class:`EngineDeclined`, an engine exception is
+        re-raised (equivalence forwards the preference to its
+        per-direction subproblems instead).  Otherwise an engine that
+        raises or declines falls through to the next admitted one, and the
+        last error is re-raised only when no engine remains.
+        """
+        problem = problem.canonical()
+        forced = problem.engine is not None \
+            and problem.kind is not ProblemKind.EQUIVALENCE
+        last_error: Exception | None = None
+        with contextlib.closing(self.ladder(problem)) as events:
+            for event, engine, payload in events:
+                if event == "result":
+                    return payload
+                if event == "trying":
+                    continue
+                if forced:
+                    if payload is None:
                         raise EngineDeclined(
-                            f"engine {forced!r} declined this "
-                            f"{problem.kind.value} problem at runtime"
-                        )
-                chosen = next(
-                    (engine for engine in candidates
-                     if engine.admits(problem)
-                     and not any(entry["name"] == engine.name
-                                 and (entry.get("declined")
-                                      or "error" in entry)
-                                 for entry in decision)),
-                    None,
-                )
-        obs.note("engine_decision", {"candidates": decision, "chosen": None})
+                            f"engine {engine.name!r} declined this "
+                            f"{problem.kind.value} problem at runtime")
+                    raise payload
+                if payload is not None:
+                    last_error = payload
+        if forced:
+            raise EngineDeclined(
+                f"engine {problem.engine!r} does not admit this "
+                f"{problem.kind.value} problem")
         if last_error is not None:
             raise last_error
         raise ValueError(

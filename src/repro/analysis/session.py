@@ -38,7 +38,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .. import obs
@@ -52,8 +52,10 @@ __all__ = [
     "discard_incomplete_sessions",
     "registry_stats",
     "reset_sessions",
+    "resident_schema_ids",
     "schema_id_of",
     "session_for",
+    "with_session_edtd",
 ]
 
 #: Bounded-LRU capacity of the worker-local session registry.
@@ -185,6 +187,33 @@ def registry_stats() -> dict:
     counters for this process (see :data:`_STATS`)."""
     with _LOCK:
         return {"resident": len(_SESSIONS), **_STATS}
+
+
+def resident_schema_ids() -> frozenset[str]:
+    """The schema ids of this process's finished sessions: exactly what a
+    worker forked now inherits (in-flight compiles are discarded in the
+    child).  The executor routes each problem to a worker whose snapshot
+    holds its schema id where it can, so that worker need not compile."""
+    with _LOCK:
+        return frozenset(_SESSIONS.keys() - _BUILDING)
+
+
+def with_session_edtd(problem: Problem) -> Problem:
+    """``problem`` over the very EDTD object its resident session was
+    compiled with.  A problem that crossed a pipe carries an equal copy of
+    its schema; the compiled artifact's memo guards key on the object, so
+    the copy is swapped for the original (same ``schema_id``, hence same
+    content)."""
+    if problem.edtd is None:
+        return problem
+    schema_id = _schema_identity(tuple(problem.expressions()),
+                                 problem.edtd)[0]
+    with _LOCK:
+        session = _SESSIONS.get(schema_id)
+    edtd = session.compiled.edtd if session is not None else None
+    if edtd is None or edtd is problem.edtd:
+        return problem
+    return replace(problem, edtd=edtd)
 
 
 def reset_sessions() -> None:

@@ -5,35 +5,49 @@ coordinator threads — one per worker slot — that stays resident across
 submissions and drives the lifecycle of each
 :class:`~repro.analysis.problems.Problem` it is handed, whether problems
 arrive one at a time (:meth:`ExecutorService.submit`, used by the ``repro
-serve`` daemon) or as whole batches (:meth:`ExecutorService.run`).  Worker
-*processes* are forked per engine attempt (decision procedures are
-CPU-bound; threads would serialize on the GIL):
+serve`` daemon) or as whole batches (:meth:`ExecutorService.run`).
+Engines run in resident worker *processes* (decision procedures are
+CPU-bound; threads would serialize on the GIL): one per slot, each forked
+once and fed problem after problem over one duplex pipe
+(:mod:`repro.parallel.worker`), so a cache miss costs a pipe round trip,
+not a fork.
 
 1. **Cache.** With a :class:`~repro.parallel.cache.VerdictCache` attached,
-   a hit returns the stored result without spawning a worker (and, warm,
+   a hit returns the stored result without reaching a worker (and, warm,
    without touching disk — see the cache's memory tier).
 2. **Race** (``race=True``).  All *conclusive* admitted engines start
-   concurrently, one worker process each; the first conclusive verdict
-   wins and the losers are terminated.  With fewer than two conclusive
-   contenders the race degenerates to the ladder.
-3. **Ladder.**  One worker walks the admitted engines cheapest-first
-   (exactly the :meth:`EngineRegistry.plan_and_run` order), falling
-   through on runtime declines and engine exceptions.  The parent imposes
-   a per-engine wall-clock ``timeout`` (overridable per submission): on
-   expiry the worker is terminated and a fresh worker resumes at the
-   next-cheapest engine — a timeout degrades the answer, never the batch.
+   concurrently, one worker each; the first conclusive verdict wins and
+   the losers are killed.  With fewer than two conclusive contenders the
+   race degenerates to the ladder.
+3. **Ladder.**  One worker walks the admitted engines cheapest-first —
+   :meth:`EngineRegistry.ladder`, the same generator in-process
+   :meth:`~EngineRegistry.plan_and_run` walks — falling through on runtime
+   declines and engine exceptions.  The parent imposes a per-engine
+   wall-clock ``timeout`` (overridable per submission): on expiry the
+   worker is killed and a fresh worker resumes at the next-cheapest
+   engine — a timeout degrades the answer, never the batch.
 
-Sessions: the coordinator warms the problem's
-:class:`~repro.analysis.session.SchemaSession` in the parent *before* any
-worker forks, so children inherit the finished
-:class:`~repro.edtd.compiled.CompiledSchema` artifact instead of
-rebuilding it per process.  Because the service is resident, sessions stay
-warm across submissions — the compile-once machinery amortizes over a
-request stream, not a single batch.  The service never resets the session
-registry; callers that want per-run hygiene (the one-shot
-:class:`BatchRunner`, pool shutdown) call
-:func:`~repro.analysis.session.reset_sessions` themselves, and
-:meth:`ExecutorService.close` does so on the way out.
+Sessions and routing: the coordinator warms the problem's
+:class:`~repro.analysis.session.SchemaSession` in the parent before
+dispatch.  The parent records which schema ids its session registry held
+when it forked each worker (and, later, the ids each worker reports when
+its registry changes); a problem goes to an idle worker whose snapshot
+holds its schema id.  If there is none and a slot is free, a fresh fork —
+which inherits the session just compiled — takes the problem.  If every
+slot is taken, the most recently used idle worker builds the session
+itself (counted in ``worker_compiles``): retiring a worker for a fresh
+fork was measured slower, because a freshly forked child makes every page
+the parent writes afterwards a copy, and the retiree must be torn down.
+A worker is killed and replaced only when it timed out, died, lost a race
+or is stale (forked before the registered engines or the rewrite level
+changed); :meth:`stats` counts forks and recycles by reason, plus the
+compiles and CPU time the workers report with every final message.
+Because the service is resident, sessions stay warm across submissions —
+the compile-once machinery amortizes over a request stream, not a single
+batch.  The service never resets the session registry while open; the
+one-shot :class:`BatchRunner` does after each run, and
+:meth:`ExecutorService.close` does on the way out, after reaping every
+worker.
 
 Every problem yields a :class:`BatchOutcome` with the result (or a
 structured error), the engine that produced it, cache/timing/attempt
@@ -43,18 +57,20 @@ perturb any other problem's verdict.
 
 Workers are forked (configurable via ``mp_context``), so engines
 registered at runtime — including test doubles — are visible to workers
-without pickling.  Only results cross the process boundary.
+without pickling.  Problems and results cross the pipe pickled.
 
 :class:`BatchRunner` is the historical one-shot front-end: same
 constructor, same :meth:`BatchRunner.run` contract, now a thin wrapper
-that runs the batch on a private :class:`ExecutorService` and resets the
-session registry afterwards.  :func:`contains_many` and
-:func:`satisfiable_many` are the list-in, list-out conveniences mirroring
-:func:`repro.analysis.contains` and :func:`repro.analysis.satisfiable`.
+that runs the batch on a private :class:`ExecutorService` and then
+releases its workers and resets the session registry.
+:func:`contains_many` and :func:`satisfiable_many` are the list-in,
+list-out conveniences mirroring :func:`repro.analysis.contains` and
+:func:`repro.analysis.satisfiable`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import threading
@@ -77,7 +93,7 @@ from ..analysis.registry import default_registry
 from ..edtd import EDTD
 from ..xpath.ast import NodeExpr, PathExpr
 from .cache import VerdictCache
-from .worker import WorkerFailure, solve_in_child
+from .worker import WorkerFailure, serve
 
 __all__ = [
     "BatchError",
@@ -188,6 +204,213 @@ class BatchReport:
         }
 
 
+#: Why a resident worker was closed, as counted in ``stats()["recycled"]``:
+#: the four replacement rules (``stale``: forked before the registered
+#: engines or the rewrite level changed), plus ``surplus`` — a race
+#: contender forked beyond the slot count, closed when it comes back idle.
+RECYCLE_REASONS = ("timeout", "died", "lost_race", "stale", "surplus")
+
+_TICK_S = 1.0 / os.sysconf("SC_CLK_TCK") if hasattr(os, "sysconf") else 0.01
+
+
+@dataclass(eq=False)
+class _Worker:
+    """One resident worker process and what the parent knows of it."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: object
+    #: Schema ids in the worker's session registry: inherited at fork
+    #: (:func:`~repro.analysis.session.resident_schema_ids`), then as the
+    #: worker reports them whenever its registry changes.
+    schemas: frozenset[str]
+    #: :func:`_environment` at fork time.
+    env: tuple
+    #: CPU seconds the worker has reported with its final messages.
+    cpu_reported_s: float = 0.0
+
+
+def _environment() -> tuple:
+    """What a forked worker froze besides its sessions: the rewrite level
+    and the registered engine objects.  A worker forked under a different
+    environment is stale."""
+    from ..xpath import passes
+
+    registry = default_registry()
+    return (passes.default_pipeline(),
+            tuple((name, id(registry.get(name)))
+                  for name in registry.names()))
+
+
+def _process_cpu_s(pid: int) -> float | None:
+    """User + system CPU of a (possibly zombie) child, from ``/proc``."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            fields = handle.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+    return (int(fields[11]) + int(fields[12])) * _TICK_S
+
+
+def _reap(process) -> None:
+    if process.is_alive():
+        process.terminate()
+    process.join(timeout=5)
+    if process.is_alive():  # pragma: no cover - stuck in uninterruptible IO
+        process.kill()
+        process.join(timeout=5)
+
+
+class _WorkerPool:
+    """The resident worker processes of one :class:`ExecutorService`,
+    routed by schema snapshot (see the module docstring)."""
+
+    def __init__(self, ctx, slots: int):
+        self._ctx = ctx
+        self.slots = slots
+        self._lock = threading.Lock()
+        #: Idle workers, most recently released last.
+        self._idle: list[_Worker] = []
+        self._busy: set[_Worker] = set()
+        #: Idle + busy + being forked.
+        self._live = 0
+        #: Processes told to exit and not yet reaped.
+        self._retired: list = []
+        self._seq = 0
+        self._closed = False
+        self.forks = 0
+        self.recycled = dict.fromkeys(RECYCLE_REASONS, 0)
+        self.worker_compiles = 0
+        self.worker_cpu_s = 0.0
+
+    def acquire(self, schema_id: str | None) -> _Worker:
+        """An idle worker holding ``schema_id`` (any schema when ``None``),
+        else a fresh fork while a slot is free, else the most recently
+        used idle worker, which builds the session itself."""
+        env = _environment()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("ExecutorService is closed")
+            self._retired = [process for process in self._retired
+                             if process.exitcode is None]
+            for worker in list(self._idle):
+                if worker.env != env:
+                    self._drop(worker, "stale")
+                elif worker.process.exitcode is not None:
+                    self._drop(worker, "died")
+            for worker in reversed(self._idle):
+                if schema_id is None or schema_id in worker.schemas:
+                    self._idle.remove(worker)
+                    self._busy.add(worker)
+                    return worker
+            if self._idle and self._live >= self.slots:
+                worker = self._idle.pop()
+                self._busy.add(worker)
+                return worker
+            self._live += 1
+            self._seq += 1
+            seq = self._seq
+        try:
+            worker = self._fork(env, seq)
+        except BaseException:
+            with self._lock:
+                self._live -= 1
+            raise
+        with self._lock:
+            self.forks += 1
+            closed = self._closed
+            if not closed:
+                self._busy.add(worker)
+        if closed:  # closed while this fork was in flight
+            self._kill(worker)
+            raise RuntimeError("ExecutorService is closed")
+        return worker
+
+    def _fork(self, env: tuple, seq: int) -> _Worker:
+        from ..analysis.session import resident_schema_ids
+
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # Only a forked child inherits the parent's sessions.
+        schemas = resident_schema_ids() \
+            if self._ctx.get_start_method() == "fork" else frozenset()
+        process = self._ctx.Process(target=serve, args=(child_conn,),
+                                    name=f"repro-worker-{seq}", daemon=True)
+        process.start()
+        child_conn.close()
+        return _Worker(process, parent_conn, schemas, env)
+
+    def _drop(self, worker: _Worker, reason: str) -> None:
+        """Close an idle worker (lock held): kill it — an idle worker holds
+        nothing worth a graceful exit — and reap it later."""
+        self._idle.remove(worker)
+        self._live -= 1
+        self.recycled[reason] += 1
+        worker.process.kill()
+        with contextlib.suppress(OSError):
+            worker.conn.close()
+        self._retired.append(worker.process)
+
+    def account(self, worker: _Worker, usage: dict) -> None:
+        """Fold a final message's ``usage`` into the pool totals."""
+        with self._lock:
+            worker.cpu_reported_s += usage["cpu_s"]
+            self.worker_cpu_s += usage["cpu_s"]
+            self.worker_compiles += usage["compiles"]
+            if usage["schemas"] is not None:
+                worker.schemas = usage["schemas"]
+
+    def release(self, worker: _Worker) -> None:
+        """Return a worker whose last message was final to the idle set."""
+        with self._lock:
+            if worker not in self._busy:
+                return  # the pool was shut down under it (and killed it)
+            self._busy.discard(worker)
+            self._idle.append(worker)
+            if self._live > self.slots:
+                self._drop(worker, "surplus")
+
+    def discard(self, worker: _Worker, reason: str) -> None:
+        """Kill a busy worker (timed out, died, lost a race) and reap it,
+        crediting the CPU it spent without reporting it."""
+        with self._lock:
+            if worker not in self._busy:
+                return  # the pool was shut down under it (and killed it)
+            self._busy.discard(worker)
+            self._live -= 1
+            self.recycled[reason] += 1
+        self._kill(worker)
+
+    def _kill(self, worker: _Worker) -> None:
+        spent = _process_cpu_s(worker.process.pid)
+        with contextlib.suppress(OSError):
+            worker.conn.close()
+        _reap(worker.process)
+        if spent is not None:
+            with self._lock:
+                self.worker_cpu_s += max(0.0, spent - worker.cpu_reported_s)
+
+    def shutdown(self, close: bool = False) -> None:
+        """Kill and reap every worker, idle or busy.  Unless ``close``, the
+        pool stays usable: the next :meth:`acquire` forks afresh."""
+        with self._lock:
+            self._closed = self._closed or close
+            workers = self._idle + list(self._busy)
+            self._idle = []
+            self._busy.clear()
+            retired, self._retired = self._retired, []
+            self._live = 0
+        for worker in workers:
+            self._kill(worker)
+        for process in retired:
+            _reap(process)
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {"resident": self._live, "forks": self.forks,
+                    "recycled": dict(self.recycled),
+                    "worker_compiles": self.worker_compiles,
+                    "worker_cpu_ms": round(self.worker_cpu_s * 1000.0, 3)}
+
+
 class ExecutorService:
     """See the module docstring.
 
@@ -237,6 +460,7 @@ class ExecutorService:
             self._ctx = multiprocessing.get_context(method)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
+        self._worker_pool = _WorkerPool(self._ctx, self.workers)
         self._state_lock = threading.Lock()
         self._closed = False
         self._next_index = 0
@@ -255,19 +479,21 @@ class ExecutorService:
             return self._pool
 
     def release(self, wait: bool = True) -> None:
-        """Shut down the coordinator threads but keep the service usable —
-        the pool is recreated lazily on the next submission.  The one-shot
-        :class:`BatchRunner` calls this after every run so idle threads
-        never outlive a batch."""
+        """Shut down the coordinator threads and the worker processes but
+        keep the service usable — both are recreated lazily on the next
+        submission.  The one-shot :class:`BatchRunner` calls this after
+        every run so neither idle threads nor workers outlive a batch."""
         with self._pool_lock:
             pool = self._pool
             self._pool = None
         if pool is not None:
             pool.shutdown(wait=wait)
+        self._worker_pool.shutdown()
 
     def close(self, wait: bool = True) -> None:
-        """Shut the coordinator pool down and drop the (now orphaned)
-        warm sessions.  Idempotent; the service is unusable afterwards."""
+        """Shut the coordinator pool down, kill and reap every worker
+        process (busy ones included) and drop the (now orphaned) warm
+        sessions.  Idempotent; the service is unusable afterwards."""
         with self._pool_lock:
             if self._closed:
                 return
@@ -276,6 +502,7 @@ class ExecutorService:
             self._pool = None
         if pool is not None:
             pool.shutdown(wait=wait)
+        self._worker_pool.shutdown(close=True)
         from ..analysis.session import reset_sessions
 
         reset_sessions()
@@ -291,7 +518,12 @@ class ExecutorService:
         self.close()
 
     def stats(self) -> dict:
-        """Live service gauges: slots, lifetime submissions, in-flight."""
+        """Live service gauges: slots, lifetime submissions, in-flight,
+        and the worker pool's ledger — resident workers, ``forks``,
+        ``recycled`` by reason (:data:`RECYCLE_REASONS`),
+        ``worker_compiles`` and ``worker_cpu_ms`` (the CPU the workers
+        reported with their final messages, plus what killed workers
+        spent unreported)."""
         with self._state_lock:
             submitted, completed = self.submitted, self.completed
         return {
@@ -301,6 +533,7 @@ class ExecutorService:
             "submitted": submitted,
             "completed": completed,
             "inflight": submitted - completed,
+            **self._worker_pool.stats(),
         }
 
     # ------------------------------------------------------- submissions
@@ -470,17 +703,18 @@ class ExecutorService:
                 return outcome
         solve_started = time.perf_counter()
         try:
-            # Warm the schema session in the parent before any worker
-            # forks: children inherit the finished CompiledSchema, and a
+            # Warm the schema session in the parent before dispatch: the
+            # problem is routed to a worker whose fork inherited the
+            # finished CompiledSchema (or to a fresh fork that does), and a
             # resident service keeps it hot for later submissions of the
             # same schema.  (Batch runs already precompiled it — this is a
             # registry hit; single submissions compile here, once.)
-            self._warm_session(problem)
+            schema_id = self._warm_session(problem)
             with obs.span("solve"):
                 if self.race:
-                    self._run_race(problem, outcome, timeout)
+                    self._run_race(problem, schema_id, outcome, timeout)
                 if outcome.result is None and outcome.error is None:
-                    self._run_ladder(problem, outcome, timeout)
+                    self._run_ladder(problem, schema_id, outcome, timeout)
         except Exception as error:  # coordinator bug — never kill the batch
             outcome.error = f"{type(error).__name__}: {error}"
         outcome.worker_time_s = time.perf_counter() - solve_started
@@ -489,15 +723,17 @@ class ExecutorService:
         return outcome
 
     @staticmethod
-    def _warm_session(problem: Problem) -> None:
+    def _warm_session(problem: Problem) -> str | None:
+        """Compile (or reuse) the problem's session; its schema id routes
+        the problem to a worker."""
         from ..analysis.session import session_for
 
         try:
-            session_for(problem)
+            return session_for(problem).schema_id
         except Exception:
             # A schema the compiler chokes on is the engines' problem to
             # report (as a structured failure), not the coordinator's.
-            pass
+            return None
 
     @staticmethod
     def _cache_hit_record(outcome: BatchOutcome) -> dict:
@@ -528,13 +764,14 @@ class ExecutorService:
 
     # ------------------------------------------------------------- ladder
 
-    def _run_ladder(self, problem: Problem, outcome: BatchOutcome,
-                    timeout: float | None) -> None:
+    def _run_ladder(self, problem: Problem, schema_id: str | None,
+                    outcome: BatchOutcome, timeout: float | None) -> None:
         """Worker-backed engine ladder with parent-enforced timeouts."""
         exclude: set[str] = {attempt["engine"] for attempt in outcome.attempts}
         while True:
-            status, engine = self._attempt(problem, frozenset(exclude),
-                                           None, outcome, timeout)
+            status, engine = self._attempt(problem, schema_id,
+                                           frozenset(exclude), outcome,
+                                           timeout)
             if status == "result":
                 return
             if status == "exhausted":
@@ -561,77 +798,54 @@ class ExecutorService:
                     f"{failure.message}")
         return "no registered engine admitted or solved the problem"
 
-    def _attempt(self, problem: Problem, exclude: frozenset[str],
-                 only_engine: str | None, outcome: BatchOutcome,
+    def _attempt(self, problem: Problem, schema_id: str | None,
+                 exclude: frozenset[str], outcome: BatchOutcome,
                  timeout: float | None) -> tuple[str, str | None]:
-        """One worker process; returns ``(status, engine)`` where status is
-        ``result | exhausted | timeout | died``."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=solve_in_child,
-            args=(child_conn, problem, exclude, self.collect_stats,
-                  only_engine),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
+        """One ladder walk on one resident worker; returns ``(status,
+        engine)`` where status is ``result | exhausted | timeout | died``.
+        The worker goes back to the pool after a final message and is
+        killed otherwise."""
+        pool = self._worker_pool
+        worker = pool.acquire(schema_id)
+        conn = worker.conn
         attempt_span = obs.span("worker.attempt").start()
         current: dict | None = None
+        status = "died"
         deadline = None if timeout is None \
             else time.perf_counter() + timeout
         try:
+            conn.send((problem, exclude, None, self.collect_stats))
             while True:
                 if deadline is not None:
                     remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not parent_conn.poll(remaining):
-                        if parent_conn.poll(0):
-                            pass  # a message raced the deadline; drain it
-                        else:
-                            if current is not None:
-                                current["status"] = "timeout"
-                            attempt_span.annotate(status="timeout")
-                            return ("timeout",
-                                    current["engine"] if current else None)
-                elif not parent_conn.poll(_POLL_S):
-                    if process.is_alive() or parent_conn.poll(0):
+                    if (remaining <= 0 or not conn.poll(remaining)) \
+                            and not conn.poll(0):
+                        status = "timeout"
+                        break
+                elif not conn.poll(_POLL_S):
+                    if worker.process.is_alive():
                         continue
-                    if current is not None:
-                        current["status"] = "died"
-                    self._record_death(outcome, current)
-                    attempt_span.annotate(status="died")
-                    return ("died", current["engine"] if current else None)
-                try:
-                    message = parent_conn.recv()
-                except EOFError:
-                    if current is not None:
-                        current["status"] = "died"
-                    self._record_death(outcome, current)
-                    attempt_span.annotate(status="died")
-                    return ("died", current["engine"] if current else None)
+                    if not conn.poll(0):
+                        break  # died
+                message = conn.recv()
                 kind = message[0]
                 if kind == "trying":
                     current = {"engine": message[1], "status": "running"}
                     outcome.attempts.append(current)
                     if timeout is not None:
                         deadline = time.perf_counter() + timeout
-                elif kind == "declined":
+                elif kind in ("declined", "failed"):
+                    if kind == "failed":
+                        outcome.failures.append(WorkerFailure(**message[2]))
                     if current is not None and current["engine"] == message[1]:
-                        current["status"] = "declined"
+                        current["status"] = kind
                     else:
                         outcome.attempts.append(
-                            {"engine": message[1], "status": "declined"})
-                    current = None
-                elif kind == "failed":
-                    failure = WorkerFailure(**message[2])
-                    outcome.failures.append(failure)
-                    if current is not None and current["engine"] == message[1]:
-                        current["status"] = "failed"
-                    else:
-                        outcome.attempts.append(
-                            {"engine": message[1], "status": "failed"})
+                            {"engine": message[1], "status": kind})
                     current = None
                 elif kind == "result":
-                    _, engine, result, stats = message
+                    _, engine, result, stats, usage = message
+                    pool.account(worker, usage)
                     if current is not None and current["engine"] == engine:
                         current["status"] = "result"
                     outcome.result = result
@@ -640,17 +854,30 @@ class ExecutorService:
                         outcome.stats = stats
                         outcome.worker_records.append(stats)
                     attempt_span.annotate(engine=engine, status="result")
+                    status = "result"
                     return ("result", engine)
-                elif kind == "exhausted":
-                    stats = message[1] if len(message) > 1 else None
+                else:  # exhausted
+                    _, stats, usage = message
+                    pool.account(worker, usage)
                     if stats is not None:
                         outcome.worker_records.append(stats)
                     attempt_span.annotate(status="exhausted")
+                    status = "exhausted"
                     return ("exhausted", None)
+        except (EOFError, OSError):
+            pass  # died: the pipe closed under a send or a receive
         finally:
+            if status in ("result", "exhausted"):
+                pool.release(worker)
+            else:
+                attempt_span.annotate(status=status)
+                pool.discard(worker, status)
             attempt_span.finish()
-            parent_conn.close()
-            self._reap(process)
+        if current is not None:
+            current["status"] = status
+        if status == "died":
+            self._record_death(outcome, current)
+        return (status, current["engine"] if current else None)
 
     @staticmethod
     def _record_death(outcome: BatchOutcome, current: dict | None) -> None:
@@ -661,22 +888,13 @@ class ExecutorService:
             traceback="",
         ))
 
-    @staticmethod
-    def _reap(process) -> None:
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=5)
-        if process.is_alive():  # pragma: no cover - stuck in uninterruptible IO
-            process.kill()
-            process.join(timeout=5)
-
     # --------------------------------------------------------------- race
 
-    def _run_race(self, problem: Problem, outcome: BatchOutcome,
-                  timeout: float | None) -> None:
+    def _run_race(self, problem: Problem, schema_id: str | None,
+                  outcome: BatchOutcome, timeout: float | None) -> None:
         """Race all conclusive admitted engines; first conclusive verdict
-        wins, losers are terminated.  Leaves ``outcome.result`` unset when
-        the race is not applicable or produced no conclusive verdict — the
+        wins, losers are killed.  Leaves ``outcome.result`` unset when the
+        race is not applicable or produced no conclusive verdict — the
         ladder then takes over (excluding engines the race already ran) —
         except that a race's *inconclusive* result is kept as a fallback if
         the ladder also comes up empty."""
@@ -691,23 +909,21 @@ class ExecutorService:
             return  # admits() raised; let the ladder sort it out
         if len(contenders) < 2:
             return
+        pool = self._worker_pool
         race_span = obs.span("race", contenders=len(contenders)).start()
-        entries = []  # (engine, process, conn, attempt_dict)
+        by_conn: dict = {}  # conn -> (worker, attempt)
+        finished: set = set()  # workers whose final message arrived
+        dead: set = set()
         for name in contenders:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-            process = self._ctx.Process(
-                target=solve_in_child,
-                args=(child_conn, problem, frozenset(), self.collect_stats,
-                      name),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
+            worker = pool.acquire(schema_id)
             attempt = {"engine": name, "status": "racing"}
             outcome.attempts.append(attempt)
-            entries.append((name, process, parent_conn, attempt))
-        by_conn = {conn: (name, process, attempt)
-                   for name, process, conn, attempt in entries}
+            by_conn[worker.conn] = (worker, attempt)
+            try:
+                worker.conn.send((problem, frozenset(), name,
+                                  self.collect_stats))
+            except OSError:
+                pass  # surfaces as EOF below
         deadline = None if timeout is None \
             else time.perf_counter() + timeout
         stash: tuple[Result, str, dict | None] | None = None
@@ -724,44 +940,45 @@ class ExecutorService:
                 if not ready:
                     if deadline is not None:
                         break  # race timed out
-                    if not any(process.is_alive()
-                               for _, process, _ in
-                               (by_conn[conn] for conn in pending)):
+                    if not any(by_conn[conn][0].process.is_alive()
+                               for conn in pending):
                         break
                     continue
                 for conn in ready:
-                    name, process, attempt = by_conn[conn]
+                    worker, attempt = by_conn[conn]
                     try:
                         message = conn.recv()
-                    except EOFError:
+                    except (EOFError, OSError):
                         pending.discard(conn)
+                        dead.add(worker)
                         attempt["status"] = "died"
                         self._record_death(outcome, attempt)
                         continue
                     kind = message[0]
-                    if kind == "trying":
-                        continue
                     if kind == "declined":
                         attempt["status"] = "declined"
-                        pending.discard(conn)
                     elif kind == "failed":
                         attempt["status"] = "failed"
                         outcome.failures.append(WorkerFailure(**message[2]))
-                        pending.discard(conn)
                     elif kind == "exhausted":
-                        stats = message[1] if len(message) > 1 else None
+                        _, stats, usage = message
+                        pool.account(worker, usage)
                         if stats is not None:
                             outcome.worker_records.append(stats)
                         pending.discard(conn)
+                        finished.add(worker)
                     elif kind == "result":
-                        _, engine, result, stats = message
+                        _, engine, result, stats, usage = message
+                        pool.account(worker, usage)
+                        pending.discard(conn)
+                        finished.add(worker)
                         if stats is not None:
                             outcome.worker_records.append(stats)
                         if result.conclusive:
                             attempt["status"] = "result"
-                            for other in pending:
-                                if other is not conn:
-                                    by_conn[other][2]["status"] = "lost-race"
+                            for _, other in by_conn.values():
+                                if other["status"] == "racing":
+                                    other["status"] = "lost-race"
                             outcome.result = result
                             outcome.engine = engine
                             outcome.race_winner = engine
@@ -772,17 +989,23 @@ class ExecutorService:
                         attempt["status"] = "inconclusive"
                         if stash is None:
                             stash = (result, engine, stats)
-                        pending.discard(conn)
         finally:
-            for _, process, conn, attempt in entries:
+            # Kill the dead and the losers first, so that releasing the
+            # finished contenders sees the true live count: a surplus check
+            # that still counted the losers would retire the winner too.
+            for worker, attempt in by_conn.values():
                 if attempt["status"] == "racing":
                     attempt["status"] = "timeout" if deadline is not None \
                         else "lost-race"
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                self._reap(process)
+                if worker in dead:
+                    pool.discard(worker, "died")
+                elif worker not in finished:
+                    pool.discard(worker, "timeout"
+                                 if attempt["status"] == "timeout"
+                                 else "lost_race")
+            for worker, _ in by_conn.values():
+                if worker in finished:
+                    pool.release(worker)
             race_span.finish()
         if stash is not None and outcome.result is None:
             # No conclusive winner; remember the inconclusive verdict in

@@ -1,7 +1,7 @@
 """Containment-as-a-service: a resident daemon over the parallel backend.
 
 ``repro serve`` keeps one :class:`~repro.parallel.runner.ExecutorService`
-(warm schema sessions, fork-per-attempt workers) behind one two-tier
+(warm schema sessions, resident worker processes) behind one two-tier
 :class:`~repro.parallel.cache.VerdictCache` and answers decision problems
 over HTTP and a JSONL socket — so a request stream amortizes schema
 compilation and verdict caching across *requests*, not just within one

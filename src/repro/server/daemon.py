@@ -2,7 +2,8 @@
 
 :class:`ReproServer` keeps one resident
 :class:`~repro.parallel.runner.ExecutorService` (warm schema sessions,
-fork-per-attempt workers) behind one shared two-tier
+resident worker processes routed by schema snapshot) behind one shared
+two-tier
 :class:`~repro.parallel.cache.VerdictCache` and serves decision problems
 over two stdlib-only asyncio transports:
 
@@ -10,9 +11,11 @@ over two stdlib-only asyncio transports:
   record (see :mod:`repro.server.protocol`); ``POST /v1/contains``,
   ``/v1/satisfiable`` and ``/v1/equivalent`` are kind-pinning aliases.
   ``GET /healthz`` is a liveness probe and ``GET /stats`` reports server
-  counters, executor gauges, cache tiers and the schema-session registry
-  (the warm-path assertion "zero recompiles" is made from outside the
-  process through this endpoint).  Connections are keep-alive.
+  counters, executor gauges (worker forks, recycles by reason, worker
+  compiles and CPU), cache tiers and the schema-session registry's
+  counters since server start (the warm-path assertions "zero
+  recompiles, zero forks" are made from outside the process through this
+  endpoint).  Connections are keep-alive.
 * **JSONL socket** (a unix socket path or a TCP port) — the ``repro
   batch`` stream protocol: one request record per line in, one answer
   record per line out, *in input order*, with lines solved concurrently
@@ -26,8 +29,11 @@ loop never blocks on a solve: submissions return
 ``concurrent.futures.Future``\\ s that are awaited via
 :func:`asyncio.wrap_future`.
 
+Every solve request gets exactly one answer and is counted exactly once:
+``requests = solved + unsolved + bad_requests + errors + shed``.
 Admission control rejects (HTTP 400 / an ``error`` answer record)
-requests that ask for an unknown or un-admitted engine, a per-request
+requests that are not JSON, nest too deeply to parse, or ask for an
+unknown or un-admitted engine, a per-request
 ``timeout`` beyond the server's cap, a ``max_nodes`` beyond the server's
 cap, or a ``passes`` level other than the one the server runs (pipeline
 level is part of the cache key; a mismatched level would silently fork
@@ -95,6 +101,10 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+#: Longest JSONL request line read (asyncio's default is 64 KiB); a
+#: longer line is answered with an error and ends the connection.
+_LINE_LIMIT = 1 << 22
 
 #: Counters the server always reports (so ``/stats`` has a stable shape).
 _COUNTER_KEYS = ("requests", "http_requests", "jsonl_requests", "solved",
@@ -174,6 +184,11 @@ class ReproServer:
             workers=self.config.workers, timeout=self.config.timeout,
             race=self.config.race, cache=self.cache)
         self._counters = {key: 0 for key in _COUNTER_KEYS}
+        from ..analysis.session import registry_stats
+
+        #: Session-registry counters at start: ``/stats`` reports deltas,
+        #: scoped to this server rather than the whole process.
+        self._sessions_base = registry_stats()
         self._lock = threading.Lock()
         self._inflight = 0
         self._seq = 0
@@ -206,12 +221,13 @@ class ReproServer:
             with contextlib.suppress(OSError):
                 os.unlink(path)
             server = await asyncio.start_unix_server(
-                self._handle_jsonl, path=path)
+                self._handle_jsonl, path=path, limit=_LINE_LIMIT)
             self._servers.append(server)
             self.jsonl_path = path
         elif config.jsonl_port is not None:
             server = await asyncio.start_server(
-                self._handle_jsonl, config.host, config.jsonl_port)
+                self._handle_jsonl, config.host, config.jsonl_port,
+                limit=_LINE_LIMIT)
             self._servers.append(server)
             self.jsonl_port = server.sockets[0].getsockname()[1]
 
@@ -320,6 +336,9 @@ class ReproServer:
                 default_max_nodes=config.default_max_nodes)
         except ValueError as error:
             raise _RequestError(str(error)) from error
+        except RecursionError:
+            raise _RequestError(
+                "expression nests too deeply to parse") from None
         return record_id, kind_name, problem, timeout
 
     async def _solve(self, data, *, default_id=None) -> tuple[int, dict]:
@@ -331,36 +350,36 @@ class ReproServer:
                          "error": "server overloaded "
                                   f"({self.config.max_inflight} requests "
                                   "in flight); retry later"}
+        record_id = data.get("id", default_id) \
+            if isinstance(data, dict) else default_id
         try:
             try:
                 record_id, kind_name, problem, timeout = self._validate(data)
             except _RequestError as error:
                 self._count("bad_requests")
-                record_id = data.get("id", default_id) \
-                    if isinstance(data, dict) else default_id
                 return 400, {"id": record_id, "error": str(error)}
             if record_id is None:
                 record_id = default_id if default_id is not None \
                     else self._next_id()
-            try:
-                if timeout is None:
-                    future = self.service.submit(problem)
-                else:
-                    future = self.service.submit(problem, timeout=timeout)
-                outcome = await asyncio.wrap_future(future)
-            except Exception as error:  # noqa: BLE001 - answered, not raised
-                self._count("errors")
-                return 500, {"id": record_id,
-                             "error": f"{type(error).__name__}: {error}"}
-            if outcome.result is None:
-                self._count("unsolved")
+            if timeout is None:
+                future = self.service.submit(problem)
             else:
-                self._count("solved")
-                if outcome.cache_hit:
-                    self._count("cache_hits")
-            return 200, outcome_record(record_id, kind_name, outcome)
+                future = self.service.submit(problem, timeout=timeout)
+            outcome = await asyncio.wrap_future(future)
+            record = outcome_record(record_id, kind_name, outcome)
+        except Exception as error:  # noqa: BLE001 - answered, not raised
+            self._count("errors")
+            return 500, {"id": record_id,
+                         "error": f"{type(error).__name__}: {error}"}
         finally:
             self._release_slot()
+        if outcome.result is None:
+            self._count("unsolved")
+        else:
+            self._count("solved")
+            if outcome.cache_hit:
+                self._count("cache_hits")
+        return 200, record
 
     def stats_payload(self) -> dict:
         """The ``/stats`` document: server counters, executor gauges,
@@ -370,6 +389,9 @@ class ReproServer:
         with self._lock:
             counters = dict(self._counters)
             inflight = self._inflight
+        sessions = registry_stats()
+        for key in ("created", "reused", "evicted"):
+            sessions[key] -= self._sessions_base[key]
         return {
             "status": "draining" if self._draining else "ok",
             "pid": os.getpid(),
@@ -378,7 +400,7 @@ class ReproServer:
             "server": {**counters, "inflight": inflight,
                        "max_inflight": self.config.max_inflight},
             "executor": self.service.stats(),
-            "sessions": registry_stats(),
+            "sessions": sessions,
             "cache": self.cache.info() if self.cache is not None else None,
         }
 
@@ -445,7 +467,8 @@ class ReproServer:
                 return 405, {"error": f"{path} is POST-only"}
             try:
                 data = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as error:
+            except (UnicodeDecodeError, ValueError, RecursionError) as error:
+                self._count("requests")
                 self._count("bad_requests")
                 return 400, {"error": f"invalid JSON: {error}"}
             if path != "/v1/solve" and isinstance(data, dict):
@@ -487,11 +510,25 @@ class ReproServer:
                     .encode("utf-8"))
                 await writer.drain()
 
+        def reject(error: str) -> None:
+            self._count("requests")
+            self._count("bad_requests")
+            ready: asyncio.Future = loop.create_future()
+            ready.set_result((400, {"id": number, "error": error}))
+            queue.put_nowait(ready)
+
         writeback = asyncio.ensure_future(_writeback())
         number = 0
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than _LINE_LIMIT
+                    number += 1
+                    self._count("jsonl_requests")
+                    reject(f"line longer than {_LINE_LIMIT} bytes; "
+                           "closing the connection")
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", "replace").strip()
@@ -501,13 +538,8 @@ class ReproServer:
                 self._count("jsonl_requests")
                 try:
                     data = json.loads(text)
-                except ValueError as error:
-                    self._count("bad_requests")
-                    ready: asyncio.Future = loop.create_future()
-                    ready.set_result(
-                        (400, {"id": number,
-                               "error": f"invalid JSON: {error}"}))
-                    queue.put_nowait(ready)
+                except (ValueError, RecursionError) as error:
+                    reject(f"invalid JSON: {error}")
                     continue
                 queue.put_nowait(asyncio.ensure_future(
                     self._solve(data, default_id=number)))

@@ -40,7 +40,7 @@ from repro.analysis.session import (
 )
 from repro.edtd import DTD
 from repro.parallel.cache import _edtd_fingerprint, encode_result
-from repro.parallel.runner import BatchRunner
+from repro.parallel.runner import BatchRunner, ExecutorService
 from repro.trees import to_xml
 from repro.xpath import parse_node, parse_path, to_source
 from repro.xpath.ast import Axis
@@ -243,6 +243,67 @@ class TestForkHygiene:
         assert entry["schema_id"] == schema_id_of(problems[0].phi)
         assert entry["problems"] == len(problems)
         assert entry["session_reuse"] == pytest.approx(1.0)
+
+    def test_interleaved_schemas_never_compile_in_a_worker(self):
+        """Routing by schema snapshot: while a slot is free, a problem goes
+        to a worker whose fork inherited its session, or to a fresh fork
+        that does."""
+        sources = ("p and <down[q]>", "r and <down[s]>") * 4
+        sources += ("<down[p and q]>", "<down[r and s]>") * 2
+        with ExecutorService(workers=2, cache=None) as service:
+            for source in sources:
+                outcome = service.submit(_sat(source)).result(timeout=120)
+                assert outcome.result is not None
+            stats = service.stats()
+        assert stats["worker_compiles"] == 0
+        # One fork per schema seen, however the submissions interleave.
+        assert stats["forks"] == 2
+        assert stats["recycled"]["stale"] == 0
+
+    def test_workers_reuse_the_compiled_frames_of_a_schema(self):
+        """A problem crosses the pipe with a copy of its EDTD; the worker
+        swaps it for the object its session was compiled with, so the
+        identity-keyed type frames are reused, not rebuilt per problem."""
+        edtd = DTD({"p": "(p | q)*", "q": "eps"}, root="p")
+        problems = [_sat(source, edtd=edtd) for source in
+                    ("p and <down[q]>", "q and <down[p]>", "<down[p]>",
+                     "p and not <down[q]>")]
+        with ExecutorService(workers=1, cache=None,
+                             collect_stats=True) as service:
+            outcomes = [service.submit(problem).result(timeout=120)
+                        for problem in problems]
+        counters = [record.get("counters") or {} for outcome in outcomes
+                    for record in outcome.worker_records]
+        assert all(outcome.result is not None for outcome in outcomes)
+        assert sum(c.get("schema.compile.count", 0) for c in counters) == 0
+        assert sum(c.get("schema.compile.frames", 0) for c in counters) == 0
+
+    def test_full_pool_builds_a_new_schema_in_an_idle_worker(self):
+        """With every slot taken, a problem over a schema no worker holds
+        goes to an idle worker, which builds the session itself once and
+        keeps it: no worker is retired for a fresh fork."""
+        one = DTD({"p": "(p | q)*", "q": "eps"}, root="p")
+        other = DTD({"r": "(r | s)*", "s": "eps"}, root="r")
+        problems = [_sat("p and <down[q]>", edtd=one),
+                    _sat("r and <down[s]>", edtd=other)] * 2
+        with ExecutorService(workers=1, cache=None) as service:
+            for problem in problems:
+                assert service.submit(problem).result(timeout=120) \
+                    .result is not None
+            stats = service.stats()
+        assert stats["forks"] == 1
+        assert stats["worker_compiles"] == 1  # ``other``, once
+        assert sum(stats["recycled"].values()) == 0
+
+    def test_full_pool_builds_a_schemaless_session_in_an_idle_worker(self):
+        with ExecutorService(workers=1, cache=None) as service:
+            for source in ("p", "q", "p", "q", "r"):
+                assert service.submit(_sat(source)).result(timeout=120) \
+                    .result is not None
+            stats = service.stats()
+        assert stats["forks"] == 1
+        assert stats["worker_compiles"] == 2  # "q" and "r", once each
+        assert sum(stats["recycled"].values()) == 0
 
     def test_pool_shutdown_resets_sessions(self):
         BatchRunner(workers=1).run([_sat("p")])

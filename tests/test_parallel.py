@@ -3,14 +3,17 @@ racing, timeouts, and worker-failure isolation.
 
 The pool uses the ``fork`` start method, so engine doubles registered in
 the *parent's* default registry (the ``Raiser``/``Sleeper`` classes below)
-are inherited by worker processes without pickling; only results cross
-the pipe.
+are inherited by worker processes without pickling; only problems and
+results cross the pipe.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
+import signal
 import time
 
 import pytest
@@ -27,6 +30,7 @@ from repro.analysis.registry import Engine
 from repro.parallel import (
     BatchError,
     BatchRunner,
+    ExecutorService,
     VerdictCache,
     contains_many,
     problem_fingerprint,
@@ -443,3 +447,162 @@ class TestBatchAPI:
         assert counters["batch.cache.miss"] == 1
         assert counters["batch.cache.hit"] == 1
         assert "batch.wall_s" in recording.gauges
+
+
+# ------------------------------------------------------ resident worker pool
+
+
+class SelfKiller(Engine):
+    """SIGKILLs the worker process it runs in: a worker dying mid-request."""
+
+    name = "test-self-killer"
+    conclusive = True
+    cost_hint = 1
+
+    def admits(self, problem):
+        return problem.kind is ProblemKind.SATISFIABILITY
+
+    def solve(self, problem, session=None):
+        os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(60)
+
+
+class SatSleeper(Sleeper):
+    """A hanging engine that only admits satisfiability problems."""
+
+    name = "test-sat-sleeper"
+
+    def admits(self, problem):
+        return problem.kind is ProblemKind.SATISFIABILITY
+
+
+def _sat_problem(source: str, **kwargs) -> Problem:
+    return Problem(ProblemKind.SATISFIABILITY, phi=parse_node(source),
+                   **kwargs)
+
+
+class TestResidentWorkers:
+    """Workers are forked once and reused; they are replaced only when
+    they time out, die, lose a race or lack the problem's schema."""
+
+    def test_same_schema_submissions_fork_one_worker_per_slot(self):
+        sources = ("p and q", "p or q", "p and not q", "q and <down[p]>",
+                   "<down[p and q]>")
+        want = [satisfiable(parse_node(source), max_nodes=3).verdict
+                for source in sources]
+        with ExecutorService(workers=2, cache=None) as service:
+            futures = [service.submit(_sat_problem(sources[i % 5],
+                                                   max_nodes=3))
+                       for i in range(50)]
+            outcomes = [future.result(timeout=120) for future in futures]
+            stats = service.stats()
+        assert [outcome.result.verdict for outcome in outcomes] == \
+            [want[i % 5] for i in range(50)]
+        assert stats["forks"] <= 2
+        assert set(stats["recycled"]) == {
+            "timeout", "died", "lost_race", "stale", "surplus"}
+        assert sum(stats["recycled"].values()) == 0
+        assert stats["worker_compiles"] == 0
+        assert stats["worker_cpu_ms"] > 0
+
+    def test_killed_worker_resumes_ladder_in_a_fresh_worker(
+            self, register_engine):
+        problem = _sat_problem("p and not q", max_nodes=3)
+        want = satisfiable(problem.phi, max_nodes=3)
+        register_engine(SelfKiller())
+        with ExecutorService(workers=1, cache=None) as service:
+            outcome = service.submit(problem).result(timeout=120)
+            stats = service.stats()
+        assert outcome.result is not None
+        assert encode_result(outcome.result) == encode_result(want)
+        assert outcome.attempts[0] == {"engine": "test-self-killer",
+                                       "status": "died"}
+        assert outcome.engine != "test-self-killer"
+        assert outcome.failures[0].error_type == "WorkerDied"
+        assert stats["recycled"]["died"] == 1
+        assert stats["forks"] == 2
+
+    def test_timeout_recycles_exactly_that_worker(self, register_engine):
+        register_engine(SatSleeper())
+        with ExecutorService(workers=1, cache=None, timeout=0.5) as service:
+            hung = service.submit(_sat_problem("p")).result(timeout=120)
+            after_hang = service.stats()
+            nxt = service.submit(Problem(
+                ProblemKind.CONTAINMENT, alpha=parse_path("down[p]"),
+                beta=parse_path("down"))).result(timeout=120)
+            stats = service.stats()
+        assert hung.attempts[0] == {"engine": "test-sat-sleeper",
+                                    "status": "timeout"}
+        assert hung.result is not None and hung.result.conclusive
+        assert nxt.result is not None and nxt.result.contained
+        assert after_hang["recycled"]["timeout"] == 1
+        assert stats["recycled"] == {**stats["recycled"], "timeout": 1,
+                                     "died": 0, "lost_race": 0}
+        # The hung worker's replacement answered the next submission.
+        assert stats["forks"] == after_hang["forks"] == 2
+
+    def test_lost_race_workers_are_recycled(self, register_engine):
+        """The losers are killed, the winner stays resident for the slot
+        and races again: each later race forks one worker fewer than it
+        has contenders."""
+        register_engine(Sleeper())
+        problem = Problem(ProblemKind.CONTAINMENT,
+                          alpha=parse_path("down[p]"),
+                          beta=parse_path("down"))
+        with ExecutorService(workers=1, cache=None, race=True,
+                             timeout=10.0) as service:
+            outcome = service.submit(problem).result(timeout=120)
+            first = service.stats()
+            again = service.submit(problem).result(timeout=120)
+            second = service.stats()
+        canonical = problem.canonical()
+        contenders = sum(1 for engine in
+                         default_registry().candidates(canonical)
+                         if engine.conclusive and engine.admits(canonical))
+        assert contenders >= 2
+        assert outcome.result is not None and outcome.result.conclusive
+        assert again.result is not None and again.result.conclusive
+        assert first["forks"] == contenders
+        assert first["recycled"]["lost_race"] >= 1  # the sleeper, at least
+        assert sum(first["recycled"].values()) == contenders - 1
+        assert first["resident"] == 1
+        assert second["forks"] == first["forks"] + contenders - 1
+        assert second["resident"] == 1
+
+    def test_close_reaps_every_worker(self):
+        service = ExecutorService(workers=2, cache=None)
+        futures = [service.submit(_sat_problem(source))
+                   for source in ("p", "q", "p and q", "r")]
+        assert all(future.result(timeout=120).result is not None
+                   for future in futures)
+        assert multiprocessing.active_children()
+        service.close()
+        assert multiprocessing.active_children() == []
+        assert service.stats()["resident"] == 0
+
+    def test_worker_and_in_process_ladders_agree(self):
+        """The one ladder: a worker records the same ``engine_decision``
+        (and a ``dispatch.solve_s`` observation) as in-process dispatch."""
+        from repro import obs
+
+        problems = [Problem(ProblemKind.CONTAINMENT, alpha=alpha, beta=beta,
+                            max_nodes=3)
+                    for alpha, beta in _pairs(seed=7, count=12)]
+        problems += [_sat_problem(source, max_nodes=3) for source in
+                     ("p", "p and not p", "<down[p]> and <down[q]>",
+                      "<up[p]> and not <up>", "<down except down[p]>")]
+        problems.append(Problem(ProblemKind.EQUIVALENCE,
+                                alpha=parse_path("down[p]"),
+                                beta=parse_path("down[p][p]")))
+        in_process = []
+        for problem in problems:
+            with obs.record("in-process") as recording:
+                default_registry().plan_and_run(problem)
+            in_process.append(recording.meta["engine_decision"])
+        report = run_batch(problems, workers=2, collect_stats=True)
+        for problem, outcome, want in zip(problems, report.outcomes,
+                                          in_process):
+            meta = outcome.stats["meta"]
+            assert meta["engine_decision"] == want, problem
+            assert meta["engine"] == want["chosen"]
+            assert "dispatch.solve_s" in outcome.stats["histograms"]

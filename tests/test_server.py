@@ -13,6 +13,7 @@ run of the same stream.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -353,6 +354,126 @@ class TestJsonlProtocol:
             [{"kind": "satisfiable", "expr": "p"},
              {"kind": "satisfiable", "expr": "q"}])
         assert [record["id"] for record in records] == [1, 2]
+
+    def test_connection_reaches_eof_after_the_answers(self, server):
+        """Regression: a worker forked while this connection was open must
+        not keep a copy of its socket, or a client reading to EOF waits
+        for as long as the resident worker lives."""
+        host, port = server.jsonl_address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(b'{"kind": "satisfiable", "expr": "p or q"}\n')
+            sock.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := sock.recv(4096):  # socket.timeout fails the test
+                data += chunk
+        [record] = [json.loads(line) for line in data.splitlines()]
+        assert record["verdict"] == "satisfiable"
+
+    def test_eof_is_prompt_while_a_fresh_worker_solves_slowly(
+            self, server, sleeper_engine):
+        """A worker closes the sockets it inherited before it solves
+        anything: a connection that was open when the worker was forked
+        reaches EOF while that worker is still busy with its first
+        problem."""
+        host, port = server.jsonl_address.rsplit(":", 1)
+        address = (host, int(port))
+        with socket.create_connection(address, timeout=30) as held, \
+                socket.create_connection(address, timeout=30) as slow:
+            slow.sendall(json.dumps(
+                {"kind": "satisfiable", "expr": "p",
+                 "engine": sleeper_engine, "timeout": 4}).encode() + b"\n")
+            time.sleep(1.0)  # a worker is forked and starts sleeping
+            held.shutdown(socket.SHUT_WR)
+            held.settimeout(2.0)  # socket.timeout fails the test
+            assert held.recv(4096) == b""
+            slow.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := slow.recv(4096):
+                data += chunk
+        [record] = [json.loads(line) for line in data.splitlines()]
+        assert record["timeouts"] == [sleeper_engine]
+
+
+def _assert_balanced(address: str, requests: int) -> dict:
+    """Every solve request was answered and counted exactly once."""
+    _, stats = http_json(address, "/stats")
+    counters = stats["server"]
+    assert counters["requests"] == requests, counters
+    assert counters["requests"] == sum(
+        counters[key] for key in ("solved", "unsolved", "bad_requests",
+                                  "errors", "shed")), counters
+    return counters
+
+
+class TestEveryRequestAnswered:
+    """Regression: a request whose expression nests too deeply for the
+    recursive-descent parser raised ``RecursionError`` past the daemon's
+    validation, and the connection closed without an answer or a count."""
+
+    DEEP = "not " * 20000 + "p"
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        with start_in_thread(_config(tmp_path, jsonl_port=0)) as handle:
+            yield handle
+
+    def test_deep_nesting_over_http(self, server):
+        address = server.http_address
+        with HttpClient(address) as client:
+            status, body = client.request(
+                "/v1/solve", {"kind": "satisfiable", "expr": self.DEEP})
+            assert status == 400
+            assert "nests too deeply" in body["error"]
+            status, body = client.request(
+                "/v1/solve", {"kind": "satisfiable", "expr": "p"})
+            assert status == 200  # the connection survived
+        counters = _assert_balanced(address, 2)
+        assert counters["bad_requests"] == 1
+
+    def test_deep_nesting_over_jsonl(self, server):
+        lines = [json.dumps({"kind": "satisfiable", "expr": "p"}),
+                 json.dumps({"kind": "satisfiable", "expr": self.DEEP}),
+                 "[" * 100000 + "]" * 100000,
+                 json.dumps({"kind": "satisfiable", "expr": "q"})]
+        records = ServerClient(server.jsonl_address).solve_lines(lines)
+        assert len(records) == len(lines)
+        assert records[0]["verdict"] == records[3]["verdict"] == \
+            "satisfiable"
+        assert "nests too deeply" in records[1]["error"]
+        assert "invalid JSON" in records[2]["error"]
+        counters = _assert_balanced(server.http_address, 4)
+        assert counters["bad_requests"] == 2
+
+    def test_unexpected_failure_is_a_counted_500(self, server,
+                                                 monkeypatch):
+        from repro.server import daemon
+
+        def _broken(*args, **kwargs):
+            raise RuntimeError("encoder bug")
+
+        monkeypatch.setattr(daemon, "outcome_record", _broken)
+        status, body = http_json(server.http_address, "/v1/solve",
+                                 {"kind": "satisfiable", "expr": "p"})
+        assert status == 500
+        assert "encoder bug" in body["error"]
+        counters = _assert_balanced(server.http_address, 1)
+        assert counters["errors"] == 1
+
+    def test_stats_scoped_to_the_server(self, tmp_path, server):
+        reset_sessions()
+        http_json(server.http_address, "/v1/solve",
+                  {"kind": "satisfiable", "expr": "p and q"})
+        # A second server in the same process starts from zero.
+        with start_in_thread(_config(tmp_path / "other")) as other:
+            _, stats = http_json(other.http_address, "/stats")
+        assert {key: stats["sessions"][key]
+                for key in ("created", "reused", "evicted")} == \
+            {"created": 0, "reused": 0, "evicted": 0}
+        executor = stats["executor"]
+        assert executor["forks"] == executor["worker_compiles"] == 0
+        assert executor["worker_cpu_ms"] == 0
+        assert set(executor["recycled"]) == {
+            "timeout", "died", "lost_race", "stale", "surplus"}
 
 
 class TestCliIntegration:
